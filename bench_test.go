@@ -7,12 +7,14 @@ package hmscs
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"hmscs/internal/analytic"
 	"hmscs/internal/core"
 	"hmscs/internal/netsim"
 	"hmscs/internal/network"
+	"hmscs/internal/par"
 	"hmscs/internal/plan"
 	"hmscs/internal/rng"
 	"hmscs/internal/sim"
@@ -236,6 +238,20 @@ func BenchmarkAnalyze(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkParForEach measures the worker pool's own cost per unit: 4,096
+// no-op units at parallelism NumCPU, so claiming, accounting and joining
+// are all that is timed.
+func BenchmarkParForEach(b *testing.B) {
+	const units = 4096
+	noop := func(int) error { return nil }
+	for i := 0; i < b.N; i++ {
+		if err := par.ForEach(units, runtime.NumCPU(), noop); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*units), "ns/unit")
 }
 
 // BenchmarkMVA measures the exact solver's cost at the full population.

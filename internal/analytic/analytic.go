@@ -72,7 +72,8 @@ type Result struct {
 	// Saturated reports that the raw rates (scale=1) would overload at
 	// least one centre, so the effective-rate iteration governs behaviour.
 	Saturated bool
-	// Centers holds per-centre metrics at the fixed point.
+	// Centers holds per-centre metrics at the fixed point, ICN1ᵢ at 2i,
+	// ECN1ᵢ at 2i+1 and ICN2 last (at 2C).
 	Centers []CenterMetrics
 }
 
@@ -98,7 +99,14 @@ func (r *Result) CenterW(kind CenterKind, cluster int) float64 {
 	return math.NaN()
 }
 
-// model bundles the pre-computed service rates for a configuration.
+// Positional reads of Result.Centers' documented layout, O(1) where
+// CenterW scans.
+func (r *Result) icn1W(i int) float64 { return r.Centers[2*i].W }
+func (r *Result) ecn1W(i int) float64 { return r.Centers[2*i+1].W }
+func (r *Result) icn2W() float64      { return r.Centers[len(r.Centers)-1].W }
+
+// model bundles the pre-computed service rates for a configuration and the
+// rate buffer every L(s) evaluation reuses.
 type model struct {
 	cfg      *core.Config
 	muICN1   []float64
@@ -106,6 +114,7 @@ type model struct {
 	muICN2   float64
 	nTotal   int
 	saturCap float64 // L value used for unstable probes = total processors
+	rates    core.Rates
 }
 
 func newModel(cfg *core.Config) (*model, error) {
@@ -116,12 +125,12 @@ func newModel(cfg *core.Config) (*model, error) {
 	sI1, sE1, sI2 := centers.ServiceTimes(cfg.MessageBytes)
 	m := &model{
 		cfg:    cfg,
-		muICN1: make([]float64, len(sI1)),
-		muECN1: make([]float64, len(sE1)),
+		muICN1: sI1,
+		muECN1: sE1,
 		muICN2: 1 / sI2,
 		nTotal: cfg.TotalNodes(),
 	}
-	for i := range sI1 {
+	for i := range sI1 { // rates overwrite the service times in place
 		m.muICN1[i] = 1 / sI1[i]
 		m.muECN1[i] = 1 / sE1[i]
 	}
@@ -129,29 +138,68 @@ func newModel(cfg *core.Config) (*model, error) {
 	return m, nil
 }
 
-// totalWaiting returns L(s), the mean number of blocked processors when all
-// generation rates are scaled by s. Any saturated centre clamps the result
-// to the total processor count, which keeps the fixed-point map
-// well-defined on all of [0,1] (paper eq. 6 with the physical cap).
-func (m *model) totalWaiting(s float64) float64 {
-	r := m.cfg.ArrivalRates(s)
-	total := 0.0
-	add := func(lambda, mu float64) bool {
-		if lambda >= mu {
-			return false
-		}
-		rho := lambda / mu
-		total += rho / (1 - rho)
-		return true
+// poissonRates fills the model's buffer with the eq. 1–5 rates at scale s.
+func (m *model) poissonRates(s float64) *core.Rates {
+	m.cfg.ArrivalRatesInto(s, &m.rates)
+	return &m.rates
+}
+
+// queueLen is a centre's mean number in system at arrival rate lambda and
+// service rate mu; ok is false when the centre is unstable.
+type queueLen func(lambda, mu float64) (l float64, ok bool)
+
+// station evaluates one centre's steady-state metrics (Lambda, Mu, Rho, W,
+// L) at a stable arrival rate.
+type station func(lambda, mu float64) (CenterMetrics, error)
+
+// mm1Len is the M/M/1 queue length ρ/(1−ρ) of eq. 6.
+func mm1Len(lambda, mu float64) (float64, bool) {
+	if lambda >= mu {
+		return 0, false
 	}
+	rho := lambda / mu
+	return rho / (1 - rho), true
+}
+
+// mm1Station is the paper's M/M/1 centre (eq. 16).
+func mm1Station(lambda, mu float64) (CenterMetrics, error) {
+	st, err := queueing.NewMM1(lambda, mu)
+	if err != nil {
+		return CenterMetrics{}, err
+	}
+	w, err := st.W()
+	if err != nil {
+		return CenterMetrics{}, err
+	}
+	l, err := st.L()
+	if err != nil {
+		return CenterMetrics{}, err
+	}
+	return CenterMetrics{Lambda: lambda, Mu: mu, Rho: st.Rho(), W: w, L: l}, nil
+}
+
+// waiting returns L, the mean number of blocked processors, at the
+// per-centre rates r. Any saturated centre clamps the result to the total
+// processor count, which keeps the fixed-point map well-defined on all of
+// [0,1] (paper eq. 6 with the physical cap).
+func (m *model) waiting(r *core.Rates, qlen queueLen) float64 {
+	total := 0.0
 	for i := range m.muICN1 {
-		if !add(r.ICN1[i], m.muICN1[i]) || !add(r.ECN1[i], m.muECN1[i]) {
+		l, ok := qlen(r.ICN1[i], m.muICN1[i])
+		if !ok {
 			return m.saturCap
 		}
+		total += l
+		if l, ok = qlen(r.ECN1[i], m.muECN1[i]); !ok {
+			return m.saturCap
+		}
+		total += l
 	}
-	if !add(r.ICN2, m.muICN2) {
+	l, ok := qlen(r.ICN2, m.muICN2)
+	if !ok {
 		return m.saturCap
 	}
+	total += l
 	if total > m.saturCap {
 		return m.saturCap
 	}
@@ -160,28 +208,79 @@ func (m *model) totalWaiting(s float64) float64 {
 
 // fixedPoint solves s = (N − L(s))/N by bisection. h(s) = s − g(s) is
 // strictly increasing (L is increasing in s), h(0) < 0 and h(1) >= 0, so a
-// unique root exists in (0, 1].
-func (m *model) fixedPoint() (scale float64, iters int) {
-	g := func(s float64) float64 {
-		return (float64(m.nTotal) - m.totalWaiting(s)) / float64(m.nTotal)
-	}
+// unique root exists in (0, 1]. It also reports whether the raw rates
+// saturate (L(1) reaches the processor cap), read off the same L(1) the
+// early exit needs.
+func (m *model) fixedPoint(L func(s float64) float64) (scale float64, iters int, saturated bool) {
+	nTotal := float64(m.nTotal)
+	g := func(l float64) float64 { return (nTotal - l) / nTotal }
+	l1 := L(1)
+	saturated = l1 >= m.saturCap
 	lo, hi := 0.0, 1.0
-	if h := 1 - g(1); h <= 0 {
+	if h := 1 - g(l1); h <= 0 {
 		// No blocking pressure at all: the raw rate is the fixed point.
-		return 1, 1
+		return 1, 1, saturated
 	}
 	const tol = 1e-12
 	n := 0
 	for hi-lo > tol && n < 200 {
 		mid := (lo + hi) / 2
-		if mid-g(mid) < 0 {
+		if mid-g(L(mid)) < 0 {
 			lo = mid
 		} else {
 			hi = mid
 		}
 		n++
 	}
-	return (lo + hi) / 2, n
+	return (lo + hi) / 2, n, saturated
+}
+
+// solve runs the effective-rate iteration of eq. 7 for one reading of the
+// model — rates gives the per-centre arrivals at scale s, qlen and st the
+// per-centre queue — and fills res with the fixed point and the per-centre
+// metrics there, in the documented layout. rates may return a buffer it
+// overwrites on the next call.
+func (m *model) solve(res *Result, rates func(s float64) *core.Rates, qlen queueLen, st station) error {
+	res.Scale, res.Iterations, res.Saturated = m.fixedPoint(func(s float64) float64 {
+		return m.waiting(rates(s), qlen)
+	})
+	r := rates(res.Scale)
+
+	// Per-centre metrics at the fixed point. The bisection can land within
+	// tolerance of a saturation boundary; nudge just below it so the
+	// queueing formulas stay finite.
+	adjust := func(lambda, mu float64) float64 {
+		if lambda < mu {
+			return lambda
+		}
+		return mu * (1 - 1e-9)
+	}
+	c := len(m.muICN1)
+	res.Centers = make([]CenterMetrics, 2*c+1)
+	put := func(at int, kind CenterKind, cluster int, lambda, mu float64) error {
+		cm, err := st(adjust(lambda, mu), mu)
+		if err != nil {
+			return err
+		}
+		cm.Kind, cm.Cluster = kind, cluster
+		res.Centers[at] = cm
+		return nil
+	}
+	for i := 0; i < c; i++ {
+		if err := put(2*i, ICN1, i, r.ICN1[i], m.muICN1[i]); err != nil {
+			return err
+		}
+		if err := put(2*i+1, ECN1, i, r.ECN1[i], m.muECN1[i]); err != nil {
+			return err
+		}
+	}
+	if err := put(2*c, ICN2, -1, r.ICN2, m.muICN2); err != nil {
+		return err
+	}
+	for i := range res.Centers {
+		res.TotalWaiting += res.Centers[i].L
+	}
+	return nil
 }
 
 // Analyze evaluates the paper's analytical model for the configuration and
@@ -195,63 +294,9 @@ func Analyze(cfg *core.Config) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{P: cfg.POut(0)}
-
-	// Detect saturation at the raw rates before iterating.
-	res.Saturated = m.totalWaiting(1) >= m.saturCap
-
-	res.Scale, res.Iterations = m.fixedPoint()
-	rates := cfg.ArrivalRates(res.Scale)
-
-	// Per-centre metrics at the fixed point. The bisection can land within
-	// tolerance of a saturation boundary; nudge just below it so the M/M/1
-	// formulas stay finite.
-	adjust := func(lambda, mu float64) float64 {
-		if lambda < mu {
-			return lambda
-		}
-		return mu * (1 - 1e-9)
-	}
-	c := cfg.NumClusters()
-	res.Centers = make([]CenterMetrics, 0, 2*c+1)
-	mkCenter := func(kind CenterKind, cluster int, lambda, mu float64) (CenterMetrics, error) {
-		lambda = adjust(lambda, mu)
-		st, err := queueing.NewMM1(lambda, mu)
-		if err != nil {
-			return CenterMetrics{}, err
-		}
-		w, err := st.W()
-		if err != nil {
-			return CenterMetrics{}, err
-		}
-		l, err := st.L()
-		if err != nil {
-			return CenterMetrics{}, err
-		}
-		return CenterMetrics{Kind: kind, Cluster: cluster, Lambda: lambda,
-			Mu: mu, Rho: st.Rho(), W: w, L: l}, nil
-	}
-	for i := 0; i < c; i++ {
-		cm, err := mkCenter(ICN1, i, rates.ICN1[i], m.muICN1[i])
-		if err != nil {
-			return nil, err
-		}
-		res.Centers = append(res.Centers, cm)
-		cm, err = mkCenter(ECN1, i, rates.ECN1[i], m.muECN1[i])
-		if err != nil {
-			return nil, err
-		}
-		res.Centers = append(res.Centers, cm)
-	}
-	cm, err := mkCenter(ICN2, -1, rates.ICN2, m.muICN2)
-	if err != nil {
+	if err := m.solve(res, m.poissonRates, mm1Len, mm1Station); err != nil {
 		return nil, err
 	}
-	res.Centers = append(res.Centers, cm)
-
-	for _, cc := range res.Centers {
-		res.TotalWaiting += cc.L
-	}
-
 	res.MeanLatency = meanLatency(cfg, res)
 	return res, nil
 }
@@ -260,26 +305,28 @@ func Analyze(cfg *core.Config) (*Result, error) {
 // message from cluster i is local with probability (Nᵢ−1)/(N_T−1) and costs
 // W_I1ᵢ; otherwise it targets cluster j with probability Nⱼ/(N_T−1) and
 // costs W_E1ᵢ + W_I2 + W_E1ⱼ. Source clusters are weighted by their share
-// of generated traffic.
+// of generated traffic. O(C): N_T, the traffic total and Σⱼ Nⱼ·W_E1ⱼ are
+// computed once.
 func meanLatency(cfg *core.Config, res *Result) float64 {
 	nt := cfg.TotalNodes()
-	wI2 := res.CenterW(ICN2, -1)
+	traffic := cfg.TotalTraffic() // > 0 on a validated config
+	wI2 := res.icn2W()
 	// Pre-compute Σⱼ Nⱼ·W_E1ⱼ so the destination-side term is O(1) per
 	// source cluster.
-	wE1 := make([]float64, len(cfg.Clusters))
 	sumNW := 0.0
 	for j := range cfg.Clusters {
-		wE1[j] = res.CenterW(ECN1, j)
-		sumNW += float64(cfg.Clusters[j].Nodes) * wE1[j]
+		sumNW += float64(cfg.Clusters[j].Nodes) * res.ecn1W(j)
 	}
 	total := 0.0
 	for i := range cfg.Clusters {
-		wi := cfg.TrafficWeight(i)
-		ni := cfg.Clusters[i].Nodes
+		cl := &cfg.Clusters[i]
+		wi := float64(cl.Nodes) * cl.Lambda / traffic // TrafficWeight(i)
+		ni := cl.Nodes
 		local := float64(ni-1) / float64(nt-1)
-		pi := cfg.POut(i)
-		destE1 := (sumNW - float64(ni)*wE1[i]) / float64(nt-1)
-		li := local*res.CenterW(ICN1, i) + pi*(wE1[i]+wI2) + destE1
+		pi := float64(nt-ni) / float64(nt-1) // POut(i)
+		wE1 := res.ecn1W(i)
+		destE1 := (sumNW - float64(ni)*wE1) / float64(nt-1)
+		li := local*res.icn1W(i) + pi*(wE1+wI2) + destE1
 		total += wi * li
 	}
 	return total

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hmscs/internal/core"
-	"hmscs/internal/queueing"
 )
 
 // AnalyzeLocality generalises the model's uniform-destination assumption
@@ -45,10 +44,12 @@ func AnalyzeLocality(cfg *core.Config, locality float64) (*Result, error) {
 	}
 
 	// rates computes per-centre arrivals under the locality split with all
-	// generation rates scaled by s.
-	rates := func(s float64) core.Rates {
-		r := core.Rates{ICN1: make([]float64, c), ECN1: make([]float64, c)}
-		outbound := make([]float64, c)
+	// generation rates scaled by s, into buffers reused across calls.
+	r := &m.rates
+	r.ICN1, r.ECN1 = make([]float64, c), make([]float64, c)
+	outbound := make([]float64, c)
+	rates := func(s float64) *core.Rates {
+		r.ICN2 = 0
 		for i, cl := range cfg.Clusters {
 			gen := float64(cl.Nodes) * cl.Lambda * s
 			r.ICN1[i] = gen * pLocal[i]
@@ -69,103 +70,20 @@ func AnalyzeLocality(cfg *core.Config, locality float64) (*Result, error) {
 		return r
 	}
 
-	totalWaiting := func(s float64) float64 {
-		r := rates(s)
-		total := 0.0
-		add := func(lambda, mu float64) bool {
-			if lambda >= mu {
-				return false
-			}
-			rho := lambda / mu
-			total += rho / (1 - rho)
-			return true
-		}
-		for i := range m.muICN1 {
-			if !add(r.ICN1[i], m.muICN1[i]) || !add(r.ECN1[i], m.muECN1[i]) {
-				return m.saturCap
-			}
-		}
-		if !add(r.ICN2, m.muICN2) {
-			return m.saturCap
-		}
-		if total > m.saturCap {
-			return m.saturCap
-		}
-		return total
-	}
-
 	res := &Result{P: 1 - pLocal[0]}
-	res.Saturated = totalWaiting(1) >= m.saturCap
-	nTotal := float64(m.nTotal)
-	g := func(s float64) float64 { return (nTotal - totalWaiting(s)) / nTotal }
-	if 1-g(1) <= 0 {
-		res.Scale, res.Iterations = 1, 1
-	} else {
-		lo, hi := 0.0, 1.0
-		for i := 0; i < 200 && hi-lo > 1e-12; i++ {
-			mid := (lo + hi) / 2
-			if mid-g(mid) < 0 {
-				lo = mid
-			} else {
-				hi = mid
-			}
-			res.Iterations++
-		}
-		res.Scale = (lo + hi) / 2
-	}
-
-	r := rates(res.Scale)
-	adjust := func(lambda, mu float64) float64 {
-		if lambda < mu {
-			return lambda
-		}
-		return mu * (1 - 1e-9)
-	}
-	mk := func(kind CenterKind, cluster int, lambda, mu float64) (CenterMetrics, error) {
-		st, err := queueing.NewMM1(adjust(lambda, mu), mu)
-		if err != nil {
-			return CenterMetrics{}, err
-		}
-		w, err := st.W()
-		if err != nil {
-			return CenterMetrics{}, err
-		}
-		l, err := st.L()
-		if err != nil {
-			return CenterMetrics{}, err
-		}
-		return CenterMetrics{Kind: kind, Cluster: cluster, Lambda: st.Lambda,
-			Mu: mu, Rho: st.Rho(), W: w, L: l}, nil
-	}
-	for i := 0; i < c; i++ {
-		cm, err := mk(ICN1, i, r.ICN1[i], m.muICN1[i])
-		if err != nil {
-			return nil, err
-		}
-		res.Centers = append(res.Centers, cm)
-		cm, err = mk(ECN1, i, r.ECN1[i], m.muECN1[i])
-		if err != nil {
-			return nil, err
-		}
-		res.Centers = append(res.Centers, cm)
-	}
-	cm, err := mk(ICN2, -1, r.ICN2, m.muICN2)
-	if err != nil {
+	if err := m.solve(res, rates, mm1Len, mm1Station); err != nil {
 		return nil, err
-	}
-	res.Centers = append(res.Centers, cm)
-	for _, cc := range res.Centers {
-		res.TotalWaiting += cc.L
 	}
 
 	// Mean latency under the locality split: local messages ride ICN1;
 	// remote ones pay ECN1(src) + ICN2 + ECN1(dst), destination cluster
 	// drawn by its share of the source's remote node pool.
-	wI2 := res.CenterW(ICN2, -1)
+	wI2 := res.icn2W()
+	traffic := cfg.TotalTraffic() // > 0 on a validated config
 	total := 0.0
 	for i := range cfg.Clusters {
-		wi := cfg.TrafficWeight(i)
-		li := pLocal[i] * res.CenterW(ICN1, i)
+		wi := float64(cfg.Clusters[i].Nodes) * cfg.Clusters[i].Lambda / traffic // TrafficWeight(i)
+		li := pLocal[i] * res.icn1W(i)
 		remote := 1 - pLocal[i]
 		if remote > 0 {
 			destTerm := 0.0
@@ -174,9 +92,9 @@ func AnalyzeLocality(cfg *core.Config, locality float64) (*Result, error) {
 					continue
 				}
 				share := float64(cfg.Clusters[j].Nodes) / float64(nt-cfg.Clusters[i].Nodes)
-				destTerm += share * res.CenterW(ECN1, j)
+				destTerm += share * res.ecn1W(j)
 			}
-			li += remote * (res.CenterW(ECN1, i) + wI2 + destTerm)
+			li += remote * (res.ecn1W(i) + wI2 + destTerm)
 		}
 		total += wi * li
 	}

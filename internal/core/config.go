@@ -88,8 +88,8 @@ func (c *Config) Validate() error {
 // TotalNodes returns the total processor count across clusters.
 func (c *Config) TotalNodes() int {
 	n := 0
-	for _, cl := range c.Clusters {
-		n += cl.Nodes
+	for i := range c.Clusters {
+		n += c.Clusters[i].Nodes
 	}
 	return n
 }

@@ -17,7 +17,9 @@ type Centers struct {
 }
 
 // BuildCenters constructs the communication-network model behind every
-// service centre.
+// service centre. Models are never mutated after construction, so a
+// cluster identical to the one before it shares that cluster's ICN1 and
+// ECN1 models: a homogeneous system builds three models, not 2C+1.
 func (c *Config) BuildCenters() (*Centers, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -26,7 +28,12 @@ func (c *Config) BuildCenters() (*Centers, error) {
 		ICN1: make([]*network.Model, len(c.Clusters)),
 		ECN1: make([]*network.Model, len(c.Clusters)),
 	}
-	for i, cl := range c.Clusters {
+	for i := range c.Clusters {
+		cl := &c.Clusters[i]
+		if i > 0 && *cl == c.Clusters[i-1] {
+			out.ICN1[i], out.ECN1[i] = out.ICN1[i-1], out.ECN1[i-1]
+			continue
+		}
 		m, err := network.NewModel(cl.ICN1, c.Arch, c.Switch, cl.Nodes)
 		if err != nil {
 			return nil, fmt.Errorf("core: cluster %d ICN1: %w", i, err)
@@ -74,23 +81,37 @@ type Rates struct {
 // For homogeneous systems these reduce exactly to the paper's eq. 1–5:
 // λ_I1 = N0(1−P)λ, λ_E1 = 2N0Pλ, λ_I2 = C·N0·P·λ.
 func (c *Config) ArrivalRates(scale float64) Rates {
+	var r Rates
+	c.ArrivalRatesInto(scale, &r)
+	return r
+}
+
+// ArrivalRatesInto is ArrivalRates writing into r, reusing its slices when
+// they have room: the fixed-point iteration evaluates the rates dozens of
+// times per configuration, so it keeps one buffer instead of allocating
+// per step. It is O(C): N_T is summed once, not per cluster.
+func (c *Config) ArrivalRatesInto(scale float64, r *Rates) {
+	n := len(c.Clusters)
+	r.ICN1 = resize(r.ICN1, n)
+	r.ECN1 = resize(r.ECN1, n)
+	r.ICN2 = 0
 	nt := c.TotalNodes()
-	r := Rates{
-		ICN1: make([]float64, len(c.Clusters)),
-		ECN1: make([]float64, len(c.Clusters)),
-	}
 	if nt <= 1 {
-		return r
+		clear(r.ICN1)
+		clear(r.ECN1)
+		return
 	}
 	// Total generated traffic, so the per-cluster inbound sum is O(1):
 	// Σ_{j≠i} Nⱼλⱼ = total − Nᵢλᵢ.
 	totalGen := 0.0
-	for _, cl := range c.Clusters {
+	for i := range c.Clusters {
+		cl := &c.Clusters[i]
 		totalGen += float64(cl.Nodes) * cl.Lambda * scale
 	}
-	for i, cl := range c.Clusters {
+	for i := range c.Clusters {
+		cl := &c.Clusters[i]
 		li := cl.Lambda * scale
-		pi := c.POut(i)
+		pi := float64(nt-cl.Nodes) / float64(nt-1) // POut(i)
 		gen := float64(cl.Nodes) * li
 		r.ICN1[i] = float64(cl.Nodes) * (1 - pi) * li
 		// Outbound remote traffic generated inside cluster i.
@@ -102,20 +123,36 @@ func (c *Config) ArrivalRates(scale float64) Rates {
 		r.ECN1[i] = outbound + inbound
 		r.ICN2 += outbound
 	}
-	return r
+}
+
+// resize returns s with length n, reusing its backing array when it has
+// room. A nil s always gets a fresh (non-nil) slice.
+func resize(s []float64, n int) []float64 {
+	if s == nil || cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
+}
+
+// TotalTraffic returns Σⱼ Nⱼλⱼ, the system's generated traffic at the raw
+// rates: the denominator of TrafficWeight.
+func (c *Config) TotalTraffic() float64 {
+	total := 0.0
+	for i := range c.Clusters {
+		cl := &c.Clusters[i]
+		total += float64(cl.Nodes) * cl.Lambda
+	}
+	return total
 }
 
 // TrafficWeight returns cluster i's share of generated traffic,
 // Nᵢλᵢ / Σⱼ Nⱼλⱼ, used to average per-source-cluster latencies.
 func (c *Config) TrafficWeight(i int) float64 {
-	total := 0.0
-	for _, cl := range c.Clusters {
-		total += float64(cl.Nodes) * cl.Lambda
-	}
+	total := c.TotalTraffic()
 	if total == 0 {
 		return 0
 	}
-	cl := c.Clusters[i]
+	cl := &c.Clusters[i]
 	return float64(cl.Nodes) * cl.Lambda / total
 }
 

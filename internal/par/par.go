@@ -13,7 +13,7 @@ import (
 	"time"
 )
 
-// Package-level pool accounting: units dispatched, unit errors, and the
+// Package-level pool accounting: units run, unit errors, and the
 // summed wall time spent inside fn across all workers (busy time). The
 // counters are process-wide — the pool is a shared primitive — and feed
 // the server's /metrics endpoint. Two atomic adds and two clock reads
@@ -68,16 +68,17 @@ func ForEach(n, parallelism int, fn func(i int) error) error {
 // concurrent workers. parallelism <= 0 means runtime.NumCPU(). With
 // parallelism 1 the calls run sequentially on the calling goroutine.
 //
-// The pool aborts promptly: the first failure (or the context's
-// cancellation) stops new units from being dispatched, so a failing or
-// cancelled batch does not run to the end before reporting. Units
-// already dispatched run to completion — cancellation lands between
-// units, never inside one — and the pool is fully drained before
-// ForEachCtx returns, so no worker goroutines outlive the call.
+// Workers claim units from a shared atomic counter, so units are claimed
+// in increasing index order and a claimed unit always runs. The pool
+// aborts promptly: after the first failure (or the context's
+// cancellation) no worker claims another unit, so a failing or cancelled
+// batch does not run to the end before reporting. Units already claimed
+// run to completion — cancellation lands between units, never inside one
+// — and every worker has exited before ForEachCtx returns.
 //
-// The returned error is deterministic for a deterministic fn: units are
-// dispatched in index order, so the lowest-index failure always runs
-// (and is always the error reported) before any abort it triggers. When
+// The returned error is deterministic for a deterministic fn: every index
+// below a failing one was claimed before it and so runs, which makes the
+// lowest-index failure always run and always be the error reported. When
 // no unit failed, a cancelled context reports ctx.Err().
 func ForEachCtx(ctx context.Context, n, parallelism int, fn func(i int) error) error {
 	if n <= 0 {
@@ -100,42 +101,37 @@ func ForEachCtx(ctx context.Context, n, parallelism int, fn func(i int) error) e
 		}
 		return nil
 	}
-	errs := make([]error, n)
-	idx := make(chan int)
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	var wg sync.WaitGroup
+	var (
+		next     atomic.Int64 // next unclaimed index
+		failed   atomic.Bool
+		mu       sync.Mutex // guards errIdx and firstErr
+		errIdx   = n
+		firstErr error
+		wg       sync.WaitGroup
+	)
 	for w := 0; w < parallelism; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				if ctx.Err() != nil {
-					continue // drain without running new units
+			for !failed.Load() && ctx.Err() == nil {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
 				}
 				if err := runUnit(fn, i); err != nil {
-					errs[i] = err
-					stopOnce.Do(func() { close(stop) })
+					mu.Lock()
+					if i < errIdx {
+						errIdx, firstErr = i, err
+					}
+					mu.Unlock()
+					failed.Store(true)
 				}
 			}
 		}()
 	}
-dispatch:
-	for i := 0; i < n; i++ {
-		select {
-		case idx <- i:
-		case <-stop:
-			break dispatch
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(idx)
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	if firstErr != nil {
+		return firstErr
 	}
 	return ctx.Err()
 }

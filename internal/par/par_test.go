@@ -44,7 +44,7 @@ func TestForEachReturnsLowestIndexError(t *testing.T) {
 }
 
 // A failing unit aborts the pool promptly: units far past the failure
-// point are never dispatched, instead of the whole batch running to the
+// point are never claimed, instead of the whole batch running to the
 // end with the error held back.
 func TestForEachAbortsPromptlyOnError(t *testing.T) {
 	for _, p := range []int{1, 4} {
@@ -59,7 +59,7 @@ func TestForEachAbortsPromptlyOnError(t *testing.T) {
 		if err == nil {
 			t.Fatalf("parallelism %d: error swallowed", p)
 		}
-		// Unit 0 fails; only units already dispatched alongside it may
+		// Unit 0 fails; only units already claimed alongside it may
 		// still run. Allow generous slack for scheduling, but the batch
 		// must not have run to completion.
 		if n := atomic.LoadInt32(&ran); n > 1000 {
@@ -110,5 +110,30 @@ func TestForEachCtxPreCancelledRunsNothing(t *testing.T) {
 func TestForEachZeroUnits(t *testing.T) {
 	if err := ForEach(0, 4, func(int) error { return errors.New("must not run") }); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Units are claimed in index order, so when unit k fails every unit below
+// k has already been claimed and runs, and the error is unit k's. Run
+// under -race this also checks the claim counter's synchronisation.
+func TestForEachRunsEveryIndexBelowFailure(t *testing.T) {
+	const n, k = 2000, 1234
+	for rep := 0; rep < 20; rep++ {
+		var ran [n]atomic.Bool
+		err := ForEach(n, 4, func(i int) error {
+			ran[i].Store(true)
+			if i == k {
+				return fmt.Errorf("unit %d failed", i)
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "unit 1234 failed" {
+			t.Fatalf("err = %v, want unit %d's", err, k)
+		}
+		for i := 0; i < k; i++ {
+			if !ran[i].Load() {
+				t.Fatalf("rep %d: unit %d below the failure never ran", rep, i)
+			}
+		}
 	}
 }

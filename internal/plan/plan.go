@@ -9,9 +9,10 @@
 //  1. a declarative design Space (cluster counts, per-cluster node counts
 //     including heterogeneous splits, per-role technologies, architecture,
 //     load headroom) is enumerated in a fixed deterministic order;
-//  2. every candidate is screened through the analytic fixed point
-//     (analytic.AnalyzeBatch — microseconds per candidate, thousands per
-//     second on the worker pool) and scored against an SLO and a CostModel;
+//  2. every candidate is screened through the analytic fixed point and
+//     scored against an SLO and a CostModel in one worker-pool unit (about
+//     15 µs of analysis per candidate; the 1584-candidate default space
+//     screens in about 20 ms on a 2-core Xeon, BenchmarkPlanScreen);
 //  3. the feasible set is reduced to the Pareto frontier on
 //     (cost, predicted latency);
 //  4. the cheapest frontier candidates are verified with precision-mode

@@ -79,7 +79,8 @@ type ScreenResult struct {
 }
 
 // Screen enumerates the space and evaluates every candidate through the
-// analytic model (analytic.AnalyzeBatch, so a non-Poisson finite
+// analytic model (analytic.Analyze, or analytic.AnalyzeArrival when
+// analytic.UsesArrivalCorrection selects it, so a non-Poisson finite
 // arrivalSCV plans with the G/G/1 burstiness correction), prices it, and
 // scores it against the SLO. Results are in enumeration order and
 // bit-identical at every parallelism level.
@@ -104,56 +105,58 @@ func ScreenCtx(ctx context.Context, sp *Space, slo SLO, cost CostModel, arrivalS
 	return screenCandidates(ctx, cands, slo, cost, arrivalSCV, parallelism)
 }
 
-// screenCandidates scores an already-enumerated candidate list.
+// screenCandidates scores an already-enumerated candidate list. Each
+// candidate is analysed, priced and scored in one unit of the worker pool:
+// results are written by index and the error is the lowest-index failure,
+// so the output is bit-identical at every parallelism level.
 func screenCandidates(ctx context.Context, cands []Candidate, slo SLO, cost CostModel, arrivalSCV float64, parallelism int) ([]ScreenResult, error) {
-	cfgs := make([]*core.Config, len(cands))
-	for i, c := range cands {
-		cfgs[i] = c.Cfg
-	}
-	analyses, err := analytic.AnalyzeBatchCtx(ctx, cfgs, arrivalSCV, parallelism)
-	if err != nil {
-		return nil, err
-	}
-	// Costing rebuilds each candidate's topologies, so it goes on the
-	// worker pool too (written by index, lowest-index error — the same
-	// determinism contract as the analysis fan-out).
-	costs := make([]float64, len(cands))
-	err = par.ForEachCtx(ctx, len(cands), parallelism, func(i int) error {
-		c, err := cost.Cost(cands[i].Cfg)
-		if err != nil {
-			return fmt.Errorf("plan: candidate %d cost: %w", cands[i].Index, err)
+	analyze := analytic.Analyze
+	if analytic.UsesArrivalCorrection(arrivalSCV) {
+		analyze = func(cfg *core.Config) (*analytic.Result, error) {
+			return analytic.AnalyzeArrival(cfg, arrivalSCV)
 		}
-		costs[i] = c
+	}
+	out := make([]ScreenResult, len(cands))
+	err := par.ForEachCtx(ctx, len(cands), parallelism, func(i int) error {
+		c := cands[i]
+		an, err := analyze(c.Cfg)
+		if err != nil {
+			return err
+		}
+		price, err := cost.Cost(c.Cfg)
+		if err != nil {
+			return fmt.Errorf("plan: candidate %d cost: %w", c.Index, err)
+		}
+		out[i] = score(c, an, price, slo)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]ScreenResult, len(cands))
-	for i, c := range cands {
-		an := analyses[i]
-		r := ScreenResult{Candidate: c, Predicted: an.MeanLatency, Saturated: an.Saturated}
-		bn := an.Bottleneck()
-		r.BottleneckRho = bn.Rho
-		if bn.Cluster >= 0 {
-			r.BottleneckName = fmt.Sprintf("%s[%d]", bn.Kind, bn.Cluster)
-		} else {
-			r.BottleneckName = bn.Kind.String()
-		}
-		r.Cost = costs[i]
-		switch {
-		case c.Cfg.TotalNodes() < slo.MinNodes:
-			r.Reason = fmt.Sprintf("only %d of the required %d processors", c.Cfg.TotalNodes(), slo.MinNodes)
-		case an.Saturated:
-			r.Reason = fmt.Sprintf("saturated (offered load overloads %s)", r.BottleneckName)
-		case r.BottleneckRho > slo.MaxUtil:
-			r.Reason = fmt.Sprintf("bottleneck %s ρ=%.3f > %.2f", r.BottleneckName, r.BottleneckRho, slo.MaxUtil)
-		case r.Predicted > slo.MaxLatency:
-			r.Reason = fmt.Sprintf("predicted %.3f ms > budget %.3f ms", r.Predicted*1e3, slo.MaxLatency*1e3)
-		default:
-			r.Feasible = true
-		}
-		out[i] = r
-	}
 	return out, nil
+}
+
+// score judges one analysed and priced candidate against the SLO.
+func score(c Candidate, an *analytic.Result, price float64, slo SLO) ScreenResult {
+	r := ScreenResult{Candidate: c, Cost: price, Predicted: an.MeanLatency, Saturated: an.Saturated}
+	bn := an.Bottleneck()
+	r.BottleneckRho = bn.Rho
+	if bn.Cluster >= 0 {
+		r.BottleneckName = fmt.Sprintf("%s[%d]", bn.Kind, bn.Cluster)
+	} else {
+		r.BottleneckName = bn.Kind.String()
+	}
+	switch {
+	case c.Cfg.TotalNodes() < slo.MinNodes:
+		r.Reason = fmt.Sprintf("only %d of the required %d processors", c.Cfg.TotalNodes(), slo.MinNodes)
+	case an.Saturated:
+		r.Reason = fmt.Sprintf("saturated (offered load overloads %s)", r.BottleneckName)
+	case r.BottleneckRho > slo.MaxUtil:
+		r.Reason = fmt.Sprintf("bottleneck %s ρ=%.3f > %.2f", r.BottleneckName, r.BottleneckRho, slo.MaxUtil)
+	case r.Predicted > slo.MaxLatency:
+		r.Reason = fmt.Sprintf("predicted %.3f ms > budget %.3f ms", r.Predicted*1e3, slo.MaxLatency*1e3)
+	default:
+		r.Feasible = true
+	}
+	return r
 }
